@@ -128,10 +128,12 @@ pub struct DistConfig {
     pub index_order_sweep: bool,
     /// Intra-rank ("OpenMP") threads for the compute sweep — the paper is
     /// MPI+OpenMP and runs "either 2 or 4 threads per process". With 1
-    /// the sweep is sequential and deterministic; with more, community
-    /// state is shared through atomics exactly like the shared-memory
-    /// baseline (results then depend on thread interleaving, as they do
-    /// in the original).
+    /// and [`SweepMode::Auto`] the sweep is sequential; with more, `Auto`
+    /// runs the colored deterministic schedule, whose results are
+    /// bit-identical at every thread count. Only [`SweepMode::Relaxed`]
+    /// shares community state through racing atomics like the
+    /// shared-memory baseline (results then depend on thread
+    /// interleaving, as they do in the original).
     pub threads_per_rank: usize,
     /// Distributed vertex following (Grappolo's VF heuristic, §4.1 of Lu
     /// et al.): before the first phase's sweeps, every degree-1 vertex

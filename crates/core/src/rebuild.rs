@@ -47,7 +47,6 @@ pub fn rebuild(
 ) -> RebuildOutput {
     let p = comm.size();
     let part = lg.partition();
-    let first = lg.first_vertex();
     let mut work = WorkCounter::default();
     let t_start = comm.stats().modeled_seconds();
 
@@ -130,17 +129,15 @@ pub fn rebuild(
     let vertex_new_id: Vec<VertexId> = comm_of_local.iter().map(|c| new_id[c]).collect();
     let new_part = VertexPartition::balanced_vertices(new_num_vertices, p);
     let mut outgoing: Vec<Vec<(VertexId, VertexId, Weight)>> = vec![Vec::new(); p];
-    for l in 0..lg.num_local() {
-        let src = vertex_new_id[l];
-        let v_global = first + l as u64;
-        for (u, w) in lg.neighbors(l) {
+    let adj = ghosts.adjacency(lg);
+    let nlocal = lg.num_local();
+    for (l, &src) in vertex_new_id.iter().enumerate() {
+        for (d, w) in adj.neighbors(l) {
             work.edges_scanned += 1;
-            let cu = if u == v_global {
-                comm_of_local[l]
-            } else if lg.owns(u) {
-                comm_of_local[(u - first) as usize]
+            let cu = if d < nlocal {
+                comm_of_local[d]
             } else {
-                ghost_comm[ghosts.slot_of(u)]
+                ghost_comm[d - nlocal]
             };
             let dst = new_id[&cu];
             outgoing[new_part.owner_of(src)].push((src, dst, w));
@@ -149,7 +146,15 @@ pub fn rebuild(
 
     // -- Step 6: redistribute. ---------------------------------------------
     let received = comm.with_step(CommStep::Other, || comm.all_to_all_v(outgoing));
-    let arcs: Vec<(VertexId, VertexId, Weight)> = received.into_iter().flatten().collect();
+    // Concatenate in rank order, growing the first buffer in place rather
+    // than copying every arc into a fresh one.
+    let total: usize = received.iter().map(Vec::len).sum();
+    let mut parts = received.into_iter();
+    let mut arcs: Vec<(VertexId, VertexId, Weight)> = parts.next().unwrap_or_default();
+    arcs.reserve(total - arcs.len());
+    for mut buf in parts {
+        arcs.append(&mut buf);
+    }
     work.edges_scanned += arcs.len() as u64;
 
     // -- Step 7: rebuild the CSR (duplicate arcs merged inside from_arcs).
@@ -199,12 +204,8 @@ mod tests {
             let range = lg.partition().range(c.rank());
             let local: Vec<VertexId> = range.map(|v| assignment[v as usize]).collect();
             // Ghost communities straight from the global assignment.
-            let mut ghost_comm = vec![0u64; ghosts.num_ghosts()];
-            for reqs in ghosts.requests() {
-                for &gid in reqs {
-                    ghost_comm[ghosts.slot_of(gid)] = assignment[gid as usize];
-                }
-            }
+            let ghost_comm: Vec<VertexId> =
+                ghosts.ghost_ids().map(|g| assignment[g as usize]).collect();
             let out = rebuild(c, &lg, &ghosts, &local, &ghost_comm);
             out.new_lg
         });

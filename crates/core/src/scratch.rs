@@ -4,21 +4,74 @@
 //! four communication steps dozens of times per phase. The seed
 //! implementation allocated every intermediate — the community snapshot,
 //! the request/reply vectors of the a_c pull, the delta message buffers,
-//! the per-thread neighbor-weight maps — from scratch on every round.
-//! [`IterScratch`] owns all of them for the lifetime of a phase: buffers
-//! are cleared between uses (which keeps their capacity) instead of
-//! reallocated, and vectors that cross the simulated wire are reclaimed
-//! from the receive side of the same collective (see [`reclaim`]), so
-//! after the first iteration the steady state performs no allocation at
-//! all on the exchange path.
+//! the per-thread neighbor-weight accumulators — from scratch on every
+//! round. [`IterScratch`] owns all of them for the lifetime of a phase:
+//! buffers are cleared between uses (which keeps their capacity) instead
+//! of reallocated, and vectors that cross the simulated wire are
+//! reclaimed from the receive side of the same collective (see
+//! [`reclaim`]), so after the first iteration the steady state performs
+//! no allocation at all on the exchange path.
 
 use std::sync::Mutex;
 
-use louvain_graph::hash::{FastMap, FastSet};
 use louvain_graph::{VertexId, Weight};
 
+/// Sahu's collision-free per-thread accumulator ("Enhancing Efficiency
+/// in Parallel Louvain"): one value per dense community slot plus the
+/// list of slots touched since the last reset. Untouched slots hold NaN,
+/// so a touched community whose weights sum to 0.0 is still a candidate,
+/// exactly as a hash-map entry would be.
+#[derive(Debug, Default)]
+pub struct Accumulator {
+    val: Vec<Weight>,
+    touched: Vec<u32>,
+}
+
+impl Accumulator {
+    /// Add `w` to slot `s` (recording `s` the first time it is touched).
+    #[inline]
+    pub fn add(&mut self, s: u32, w: Weight) {
+        let v = &mut self.val[s as usize];
+        if v.is_nan() {
+            *v = 0.0;
+            self.touched.push(s);
+        }
+        *v += w;
+    }
+
+    /// Accumulated weight of slot `s`, if it was touched.
+    #[inline]
+    pub fn get(&self, s: u32) -> Option<Weight> {
+        let v = self.val[s as usize];
+        (!v.is_nan()).then_some(v)
+    }
+
+    /// True if no slot was touched since the last reset.
+    pub fn is_empty(&self) -> bool {
+        self.touched.is_empty()
+    }
+
+    /// Reorder the touched slots (first-touch order until then).
+    pub fn sort_by_key<K: Ord>(&mut self, mut key: impl FnMut(u32) -> K) {
+        self.touched.sort_unstable_by_key(|&s| key(s));
+    }
+
+    /// `(slot, accumulated weight)` of the touched slots, in their
+    /// current order.
+    pub fn entries(&self) -> impl Iterator<Item = (u32, Weight)> + '_ {
+        self.touched.iter().map(|&s| (s, self.val[s as usize]))
+    }
+
+    /// Forget every touched slot — O(touched), not O(slots).
+    pub fn reset(&mut self) {
+        for s in self.touched.drain(..) {
+            self.val[s as usize] = Weight::NAN;
+        }
+    }
+}
+
 /// Per-phase arena of reusable iteration buffers. `Sync` so the parallel
-/// compute sweep can check neighbor-weight maps out of the shared pool.
+/// compute sweep can check accumulators out of the shared pool.
 pub struct IterScratch {
     /// Community snapshot taken immediately before each ghost exchange.
     pub comm_snapshot: Vec<VertexId>,
@@ -33,14 +86,22 @@ pub struct IterScratch {
     pub changed: Vec<bool>,
     /// Per-vertex ET activity flags for the current iteration.
     pub active: Vec<bool>,
-    /// Remote communities whose `a_c` must be pulled this round.
-    pub needed: FastSet<VertexId>,
+    /// Dense ids (owned vertices, then ghosts) that the round's swept
+    /// vertices can read: the swept vertices and their neighbors.
+    pub marked: Vec<bool>,
+    /// The round's step-2 pull table: remote communities the swept
+    /// vertices can read, ascending. Remote community `pull_ids[i]` has
+    /// community slot `nlocal + i`.
+    pub pull_ids: Vec<VertexId>,
     /// Per-destination-rank request buffers for the a_c pull.
     pub requests: Vec<Vec<VertexId>>,
     /// Per-destination-rank keyed `(community, a_c, size)` reply buffers.
     pub replies: Vec<Vec<(VertexId, Weight, u64)>>,
-    /// `a_c` and size of remote communities, rebuilt every round.
-    pub remote_a: FastMap<VertexId, (Weight, u64)>,
+    /// `(a_c, size)` of `pull_ids[i]` as pulled this round.
+    pub remote_a: Vec<(Weight, u64)>,
+    /// Community slot of each ghost's community this round (`u32::MAX`
+    /// for ghosts no swept vertex reads).
+    pub ghost_slot: Vec<u32>,
     /// The vertex ids swept in the current (sub-)round.
     pub round_vertices: Vec<usize>,
     /// Per-destination-rank delta messages for the owner push.
@@ -48,9 +109,10 @@ pub struct IterScratch {
     /// Per-color conflict-free batches of the colored sweep schedule,
     /// rebuilt (cleared, capacities kept) every round it runs.
     pub batches: Vec<Vec<usize>>,
-    /// Neighbor-weight maps checked out by sweep workers (sequential or
-    /// one per rayon chunk) and returned after the sweep.
-    weights: Mutex<Vec<FastMap<VertexId, Weight>>>,
+    /// Accumulators checked out by sweep workers (sequential, one per
+    /// rayon chunk, or one per worker range of a color batch) and
+    /// returned after use.
+    accs: Mutex<Vec<Accumulator>>,
 }
 
 impl IterScratch {
@@ -61,36 +123,41 @@ impl IterScratch {
             last_pushed: Vec::with_capacity(nlocal),
             changed: Vec::with_capacity(nlocal),
             active: Vec::with_capacity(nlocal),
-            needed: FastSet::default(),
+            marked: Vec::new(),
+            pull_ids: Vec::new(),
             requests: vec![Vec::new(); p],
             replies: vec![Vec::new(); p],
-            remote_a: FastMap::default(),
+            remote_a: Vec::new(),
+            ghost_slot: Vec::new(),
             round_vertices: Vec::with_capacity(nlocal),
             delta_msgs: vec![Vec::new(); p],
             batches: Vec::new(),
-            weights: Mutex::new(Vec::new()),
+            accs: Mutex::new(Vec::new()),
         }
     }
 
-    /// Check a cleared neighbor-weight map out of the pool (allocating
-    /// only if the pool is dry — i.e. the first sweep of the phase).
-    pub fn take_weights(&self) -> FastMap<VertexId, Weight> {
-        let mut m = self
-            .weights
+    /// Check a reset accumulator covering at least `slots` community
+    /// slots out of the pool (allocating only if the pool is dry).
+    pub fn take_acc(&self, slots: usize) -> Accumulator {
+        let mut acc = self
+            .accs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .pop()
             .unwrap_or_default();
-        m.clear();
-        m
+        debug_assert!(acc.touched.is_empty(), "pooled accumulator not reset");
+        if acc.val.len() < slots {
+            acc.val.resize(slots, Weight::NAN);
+        }
+        acc
     }
 
-    /// Return a neighbor-weight map to the pool for the next sweep.
-    pub fn put_weights(&self, m: FastMap<VertexId, Weight>) {
-        self.weights
+    /// Return a reset accumulator to the pool for the next sweep.
+    pub fn put_acc(&self, acc: Accumulator) {
+        self.accs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(m);
+            .push(acc);
     }
 
     /// Approximate resident bytes of the arena, from buffer *capacities*
@@ -107,21 +174,23 @@ impl IterScratch {
                 .map(|b| (b.capacity() * size_of::<T>()) as u64)
                 .sum()
         }
-        let weights = self.weights.lock().unwrap_or_else(|e| e.into_inner());
+        let accs = self.accs.lock().unwrap_or_else(|e| e.into_inner());
         flat(&self.comm_snapshot)
             + flat(&self.last_pushed)
             + flat(&self.changed)
             + flat(&self.active)
-            + (self.needed.capacity() * size_of::<VertexId>()) as u64
+            + flat(&self.marked)
+            + flat(&self.pull_ids)
             + nested(&self.requests)
             + nested(&self.replies)
-            + (self.remote_a.capacity() * size_of::<(VertexId, (Weight, u64))>()) as u64
+            + flat(&self.remote_a)
+            + flat(&self.ghost_slot)
             + flat(&self.round_vertices)
             + nested(&self.delta_msgs)
             + nested(&self.batches)
-            + weights
+            + accs
                 .iter()
-                .map(|m| (m.capacity() * size_of::<(VertexId, Weight)>()) as u64)
+                .map(|a| flat(&a.val) + flat(&a.touched))
                 .sum::<u64>()
     }
 }
@@ -142,15 +211,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn weights_pool_recycles_maps() {
+    fn accumulator_pool_recycles_reset_accumulators() {
         let s = IterScratch::new(8, 2);
-        let mut m = s.take_weights();
-        m.insert(1, 2.0);
-        let cap_hint = m.capacity();
-        s.put_weights(m);
-        let m2 = s.take_weights();
-        assert!(m2.is_empty(), "pooled map must come back cleared");
-        assert!(m2.capacity() >= cap_hint.min(1));
+        let mut a = s.take_acc(4);
+        a.add(3, 2.0);
+        a.add(1, 0.0);
+        a.add(3, 0.5);
+        assert_eq!(a.get(3), Some(2.5));
+        assert_eq!(a.get(1), Some(0.0), "a zero sum is still touched");
+        assert_eq!(a.get(0), None);
+        assert_eq!(a.entries().collect::<Vec<_>>(), vec![(3, 2.5), (1, 0.0)]);
+        a.sort_by_key(|s| s);
+        assert_eq!(a.entries().collect::<Vec<_>>(), vec![(1, 0.0), (3, 2.5)]);
+        a.reset();
+        s.put_acc(a);
+        let a2 = s.take_acc(6);
+        assert!(
+            (0..6).all(|i| a2.get(i).is_none()),
+            "pooled accumulator must come back reset"
+        );
+        assert!(s.approx_bytes() > 0);
     }
 
     #[test]

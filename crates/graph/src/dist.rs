@@ -27,24 +27,31 @@ impl LocalGraph {
     pub fn from_arcs(
         part: VertexPartition,
         rank: usize,
-        arcs: Vec<(VertexId, VertexId, Weight)>,
+        mut arcs: Vec<(VertexId, VertexId, Weight)>,
     ) -> Self {
         let first = part.first(rank);
         let nlocal = part.num_local(rank);
-        // Merge duplicates, then bucket by source row.
-        let mut merged = fast_map_with_capacity::<(VertexId, VertexId), Weight>(arcs.len());
-        for (u, v, w) in arcs {
-            debug_assert_eq!(
-                part.owner_of(u),
-                rank,
-                "arc source {u} not owned by rank {rank}"
-            );
-            *merged.entry((u, v)).or_insert(0.0) += w;
+        debug_assert!(
+            arcs.iter().all(|&(u, _, _)| part.owner_of(u) == rank),
+            "arc source not owned by rank {rank}"
+        );
+        // A stable sort keeps duplicates in arrival order, so merging them
+        // in place sums their weights in the order a per-key accumulator
+        // would (0.0 + w1 + w2 + ...), without the accumulator's memory.
+        arcs.sort_by_key(|&(u, v, _)| (u, v));
+        let mut len = 0;
+        for i in 0..arcs.len() {
+            let (u, v, w) = arcs[i];
+            if len > 0 && arcs[len - 1].0 == u && arcs[len - 1].1 == v {
+                arcs[len - 1].2 += w;
+            } else {
+                arcs[len] = (u, v, 0.0 + w);
+                len += 1;
+            }
         }
-        let mut sorted: Vec<_> = merged.into_iter().map(|((u, v), w)| (u, v, w)).collect();
-        sorted.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        arcs.truncate(len);
         let mut offsets = vec![0usize; nlocal + 1];
-        for &(u, _, _) in &sorted {
+        for &(u, _, _) in &arcs {
             offsets[(u - first) as usize + 1] += 1;
         }
         for i in 0..nlocal {
@@ -54,8 +61,8 @@ impl LocalGraph {
             part,
             rank,
             offsets,
-            dests: sorted.iter().map(|&(_, v, _)| v).collect(),
-            weights: sorted.iter().map(|&(_, _, w)| w).collect(),
+            dests: arcs.iter().map(|&(_, v, _)| v).collect(),
+            weights: arcs.iter().map(|&(_, _, w)| w).collect(),
         }
     }
 

@@ -114,6 +114,11 @@ pub const METRIC_REGISTRY: &[(&str, MetricKind, &str)] = &[
         "checkpoint snapshots written",
     ),
     (
+        "coloring.rounds",
+        MetricKind::Counter,
+        "ghost-refresh rounds of the per-phase distance-1 coloring",
+    ),
+    (
         "comm.checksum_rejects",
         MetricKind::Counter,
         "envelopes rejected by checksum",

@@ -33,6 +33,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+# perfbench is its own package outside the workspace; its unit tests
+# (percentile pick, self time, schedule, workload catalogue) catch a
+# benchmark that drifted from the program it drives.
+echo "==> perfbench unit tests"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check (first-party crates)"
 fmt_paths=(src crates/*/src tests)
 fmt_files=()

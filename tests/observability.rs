@@ -341,6 +341,48 @@ fn et_active_fraction_rows_populate_under_colored_parallel_sweep() {
     );
 }
 
+/// The colored schedule's pre-iteration passes are named layers, not a
+/// gap in the phase: every phase has a `coloring` span (phase 0 also a
+/// `vertex_following` one). On one rank the wait-counter coloring needs
+/// exactly one round per phase; across ranks at least one.
+#[test]
+fn coloring_and_vertex_following_are_spans_and_p1_coloring_takes_one_round() {
+    use distributed_louvain::graph::gen::{rmat, RmatParams};
+    let _guard = TRACE_FLAG.lock().unwrap();
+    let g = rmat(RmatParams::social(11, 8, 3)).graph;
+    let cfg = DistConfig {
+        threads_per_rank: 2,
+        vertex_following: true,
+        ..DistConfig::baseline()
+    };
+    for p in [1usize, 2] {
+        obs::set_enabled(true);
+        let out = run_distributed(&g, p, &cfg);
+        obs::set_enabled(false);
+        let trace = out.trace.as_ref().expect("tracing was enabled");
+        let rollup = trace.span_rollup();
+        let count = |name: &str| {
+            rollup
+                .iter()
+                .find(|r| r.name == name)
+                .map_or(0, |r| r.count)
+        };
+        let phases = (out.phases * p) as u64;
+        assert_eq!(
+            count("coloring"),
+            phases,
+            "p={p}: one coloring span per phase and rank"
+        );
+        assert_eq!(count("vertex_following"), p as u64, "p={p}: phase 0 only");
+        let rounds = trace.merged_metrics().counter("coloring.rounds");
+        if p == 1 {
+            assert_eq!(rounds, phases, "one coloring round per phase at p=1");
+        } else {
+            assert!(rounds >= phases, "p={p}: {rounds} rounds");
+        }
+    }
+}
+
 /// With tracing off (the default), runs carry no trace and pay no
 /// recording cost — and the report builder still works from the
 /// always-on comm counters.

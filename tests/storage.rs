@@ -21,11 +21,8 @@ use distributed_louvain::graph::gen::{
 use distributed_louvain::graph::{Csr, EdgeSink};
 use distributed_louvain::store::{Slab, SlabBuilder, SlabOptions};
 
-fn tmp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("louvain-storage-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::TempDir;
 
 /// Build the in-memory CSR and the slab from the *same* generator edge
 /// stream, so any divergence below is the loader's fault, not the
@@ -50,25 +47,26 @@ fn run_src(src: GraphSource<'_>, p: usize, cfg: &DistConfig) -> DistOutcome {
 
 #[test]
 fn all_three_load_paths_are_bit_identical_across_the_matrix() {
-    let dir = tmp_dir();
+    let tmp = TempDir::new("storage-e2e-matrix");
+    let dir = tmp.path();
     let graphs: Vec<(&str, Csr, PathBuf)> = vec![
         {
             let p = Ssca2Params::paper(800, 9);
-            let (g, path) = build_pair("ssca2", &dir, ssca2(p).graph, |b| {
+            let (g, path) = build_pair("ssca2", dir, ssca2(p).graph, |b| {
                 ssca2_stream(p, b).unwrap();
             });
             ("ssca2", g, path)
         },
         {
             let p = RmatParams::social(10, 8, 5);
-            let (g, path) = build_pair("rmat", &dir, rmat(p).graph, |b| {
+            let (g, path) = build_pair("rmat", dir, rmat(p).graph, |b| {
                 rmat_stream(p, b).unwrap();
             });
             ("rmat", g, path)
         },
         {
             let p = LfrParams::small(600, 7);
-            let (g, path) = build_pair("lfr", &dir, lfr(p).graph, |b| {
+            let (g, path) = build_pair("lfr", dir, lfr(p).graph, |b| {
                 lfr_stream(p, b).unwrap();
             });
             ("lfr", g, path)
@@ -184,8 +182,6 @@ fn all_three_load_paths_are_bit_identical_across_the_matrix() {
         ranged_sum < mapped_sum,
         "{name}: ranged loads ({ranged_sum}) should touch fewer bytes than 2 whole mappings ({mapped_sum})"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Edge streams fed through the generic [`EdgeSink`] trait object reach
@@ -193,7 +189,8 @@ fn all_three_load_paths_are_bit_identical_across_the_matrix() {
 /// generics; this guards the trait path itself).
 #[test]
 fn sink_trait_object_and_direct_calls_build_identical_slabs() {
-    let dir = tmp_dir();
+    let tmp = TempDir::new("storage-e2e-sink");
+    let dir = tmp.path();
     let p = RmatParams::social(8, 4, 3);
     let direct = dir.join("direct.slab");
     let via_dyn = dir.join("dyn.slab");
@@ -226,5 +223,4 @@ fn sink_trait_object_and_direct_calls_build_identical_slabs() {
         std::fs::read(&via_dyn).unwrap(),
         "slab bytes must not depend on how the sink was dispatched"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
